@@ -226,7 +226,9 @@ func BenchmarkEndToEndSweep(b *testing.B) {
 // under the Phase1+2 pipeline on ia32, per engine: the closure-compiled
 // engine versus the reference switch interpreter on identical IR. Each
 // iteration resets the heap and re-verifies the checksum, so the numbers can
-// never come from a wrong-answer fast path.
+// never come from a wrong-answer fast path. ns/instr divides the timed run
+// by the simulated instructions it executed (Stats.Instrs): the engine's
+// host cost per instruction.
 func BenchmarkExec(b *testing.B) {
 	for _, w := range append(workloads.JBYTEmark(), workloads.SPECjvm98()...) {
 		for _, eng := range []machine.Engine{machine.EngineClosure, machine.EngineSwitch} {
@@ -251,6 +253,7 @@ func BenchmarkExec(b *testing.B) {
 						b.Fatalf("checksum mismatch: got %d, want %d", out.Value, want)
 					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Stats.Instrs), "ns/instr")
 			})
 		}
 	}

@@ -29,6 +29,11 @@ TRAPNULL_ENGINE=switch go test ./internal/machine ./internal/bench ./internal/ra
 # Benchmark smoke: one iteration of every Exec micro-benchmark (both
 # engines, checksum-verified) so the bench harness itself cannot rot.
 go test -bench=Exec -benchtime=1x -run '^$' .
+# The repository benchmark is a nested module, so `go test ./...` above never
+# reaches it. Its self-tests include the exact-cycle check of the 170 quick
+# paper cells against BENCH_baseline.json.
+go -C perfbench vet .
+go -C perfbench test -short .
 # Observability smoke: compile-and-run a sample program with tracing and
 # remarks on, then validate the emitted Chrome trace parses and the fate
 # ledger conserves (nulljit exits non-zero when it does not). The

@@ -44,7 +44,7 @@ func main() {
 		table      = flag.Int("table", 0, "render one table (1-7)")
 		figure     = flag.Int("figure", 0, "render one figure (8-15)")
 		quick      = flag.Bool("quick", false, "use small problem sizes")
-		reps       = flag.Int("reps", 5, "compile-time measurement repetitions (ignored when the compile cache is on)")
+		reps       = flag.Int("reps", 5, "compile-time measurement repetitions (best of N; a compile-cache hit replays the stored best)")
 		parallel   = flag.Int("parallel", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
 		ccache     = flag.String("compile-cache", "auto", "content-addressed compile cache: auto (TRAPNULL_COMPILE_CACHE), on, off")
 		cparallel  = flag.Int("compile-parallel", 0, "per-method compile workers inside each cell (<=1 = serial)")

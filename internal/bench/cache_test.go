@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"trapnull/internal/arch"
+	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/workloads"
@@ -15,8 +16,8 @@ import (
 // TestCompileCacheDeterminism is the cache acceptance gate: a cache-on sweep
 // and a cache-off sweep must render byte-identical timing-free artifacts and
 // identical per-cell simulated measurements, static statistics, and fate
-// histograms. Only host compile timings may differ (cache-on skips the
-// best-of-reps loop).
+// histograms. Only host compile timings may differ (each sweep keeps its
+// own fastest rep).
 func TestCompileCacheDeterminism(t *testing.T) {
 	on, err := RunAll(Options{Quick: true, CompileReps: 2, Parallelism: 4,
 		CompileCache: CacheOn, Remarks: true})
@@ -118,6 +119,41 @@ func TestCompileCacheFateReattribution(t *testing.T) {
 		if b.Cycles != c.Cycles || b.Exec != c.Exec {
 			t.Errorf("%s: hit cell measured differently from miss cell", w.Name)
 		}
+	}
+}
+
+// TestCompileCacheMissTimesAllReps pins the compile-time measurement under
+// the cache: a miss times CompileReps fresh build+compile reps, as the
+// uncached path does, and a hit compiles nothing and replays the stored
+// best-of-N times.
+func TestCompileCacheMissTimesAllReps(t *testing.T) {
+	const reps = 3
+	base := jit.ConfigPhase1Phase2()
+	clone := base
+	clone.Name = base.Name + "-clone" // same key: its cell hits
+	w := *workloads.JBYTEmark()[0]
+	build, builds := w.Build, 0
+	w.Build = func() (*ir.Program, *ir.Method) {
+		builds++
+		return build()
+	}
+
+	m, err := Run(arch.IA32Win(), []jit.Config{base, clone}, []*workloads.Workload{&w},
+		Options{Quick: true, CompileReps: reps, Parallelism: 1, CompileCache: CacheOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.CompileCache; st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache stats = %+v, want one miss and one hit", *st)
+	}
+	// The miss builds once per rep; the hit builds once to key its lookup.
+	if builds != reps+1 {
+		t.Fatalf("%d builds, want %d (%d timed reps on the miss, 1 for the hit)", builds, reps+1, reps)
+	}
+	miss, hit := m.Cell(base.Name, w.Name), m.Cell(clone.Name, w.Name)
+	if miss.CompileNull != hit.CompileNull || miss.CompileOther != hit.CompileOther {
+		t.Fatalf("hit did not replay the miss's times: miss %v+%v, hit %v+%v",
+			miss.CompileNull, miss.CompileOther, hit.CompileNull, hit.CompileOther)
 	}
 }
 

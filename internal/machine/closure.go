@@ -14,7 +14,9 @@ import (
 // specialized on opcode and operand shape; hot adjacent pairs are fused into
 // superinstructions; and call-free blocks run with block-batched accounting:
 // one steps/Instrs/Cycles update on block entry, with the unexecuted suffix
-// rolled back on the rare early exit (raise or simulation error).
+// rolled back on the rare early exit (raise or simulation error). The hot
+// terminator shapes of such blocks are not closures at all: the block loop
+// decodes and evaluates them itself (cTerm).
 //
 // The engine is required to be observationally identical to the reference
 // switch interpreter in machine.go: same Outcome, same ExecStats, same
@@ -77,9 +79,12 @@ type cStep struct {
 // and to finish a block when the step limit could fire inside a stretch.
 type cBlock struct {
 	steps []cStep
-	// one is the whole block as a single charged stretch (one.charged
-	// non-nil) — the common call-free case, kept out of the segment walk.
+	// one is the whole block as a single charged stretch (one.count
+	// non-zero) — the common call-free case, kept out of the segment walk.
+	// When term decodes the block's terminator, one.charged stops short of
+	// it; one's count, cycles and implicit still include it.
 	one     cSeg
+	term    cTerm
 	segs    []cSeg
 	handler int      // handler block ID, or -1 outside any try region
 	excVar  ir.VarID // handler's exception variable (NoVar when none)
@@ -110,6 +115,39 @@ type suf struct {
 	imp    int64
 }
 
+// tKind is the shape of a terminator the block loop evaluates in line.
+type tKind uint8
+
+const (
+	tClosure tKind = iota // not decoded: the terminator is a step closure
+	tJump                 // goto t0
+	tRet                  // return local a, or the constant k when a < 0
+	// Integer if, taken to t0 else t1: local a against the constant k
+	// (K suffix) or against local b (V suffix).
+	tIfEQK
+	tIfNEK
+	tIfLTK
+	tIfLEK
+	tIfGTK
+	tIfGEK
+	tIfEQV
+	tIfNEV
+	tIfLTV
+	tIfLEV
+	tIfGTV
+	tIfGEV
+)
+
+// cTerm is a decoded block terminator. Evaluating it in the block loop
+// saves the closure call, the stJump status round trip through frame.next
+// and, for an if, the indirect call to the comparison.
+type cTerm struct {
+	kind   tKind
+	a, b   int32
+	k      int64
+	t0, t1 int
+}
+
 // cFunc is one function compiled for the closure engine, dense by block ID.
 type cFunc struct {
 	blocks []cBlock
@@ -129,10 +167,11 @@ func (m *Machine) execCf(fn *ir.Func, cf *cFunc, args []int64, depth int) (Outco
 		return Outcome{}, fmt.Errorf("machine: call depth exceeded in %s", fn.Name)
 	}
 	fr := m.frameGet(fn.NumLocals())
-	defer m.framePut(fr)
 	copy(fr.locals, args)
 	fr.depth = depth
-	return m.runCf(fn, cf, fr, cf.entry)
+	out, err := m.runCf(fn, cf, fr, cf.entry)
+	m.framePut(fr)
+	return out, err
 }
 
 // execCfFrom enters the closure engine mid-function: the interpreter
@@ -191,7 +230,7 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 		}
 		cb := &cf.blocks[blkID]
 		st := stNext
-		if sg := &cb.one; sg.charged != nil {
+		if sg := &cb.one; sg.count != 0 {
 			if m.steps+sg.count > m.MaxSteps {
 				st = m.runSteps(fr, fn, cb.steps)
 			} else {
@@ -209,6 +248,58 @@ func (m *Machine) runCf(fn *ir.Func, cf *cFunc, fr *frame, blkID int) (Outcome, 
 							m.Cycles -= sx.cycles
 						}
 						break
+					}
+				}
+				if st == stNext {
+					// The stretch ran to its decoded terminator, which the
+					// pre-charge already paid for.
+					t := &cb.term
+					loc := fr.locals
+					switch t.kind {
+					case tJump:
+						blkID = t.t0
+						continue
+					case tRet:
+						if t.a >= 0 {
+							return Outcome{Value: loc[t.a]}, nil
+						}
+						return Outcome{Value: t.k}, nil
+					case tIfEQK:
+						blkID = pick(loc[t.a] == t.k, t.t0, t.t1)
+						continue
+					case tIfNEK:
+						blkID = pick(loc[t.a] != t.k, t.t0, t.t1)
+						continue
+					case tIfLTK:
+						blkID = pick(loc[t.a] < t.k, t.t0, t.t1)
+						continue
+					case tIfLEK:
+						blkID = pick(loc[t.a] <= t.k, t.t0, t.t1)
+						continue
+					case tIfGTK:
+						blkID = pick(loc[t.a] > t.k, t.t0, t.t1)
+						continue
+					case tIfGEK:
+						blkID = pick(loc[t.a] >= t.k, t.t0, t.t1)
+						continue
+					case tIfEQV:
+						blkID = pick(loc[t.a] == loc[t.b], t.t0, t.t1)
+						continue
+					case tIfNEV:
+						blkID = pick(loc[t.a] != loc[t.b], t.t0, t.t1)
+						continue
+					case tIfLTV:
+						blkID = pick(loc[t.a] < loc[t.b], t.t0, t.t1)
+						continue
+					case tIfLEV:
+						blkID = pick(loc[t.a] <= loc[t.b], t.t0, t.t1)
+						continue
+					case tIfGTV:
+						blkID = pick(loc[t.a] > loc[t.b], t.t0, t.t1)
+						continue
+					case tIfGEV:
+						blkID = pick(loc[t.a] >= loc[t.b], t.t0, t.t1)
+						continue
 					}
 				}
 			}
@@ -338,14 +429,16 @@ func (m *Machine) tick(fr *frame, fn *ir.Func, cost int64, imp bool) bool {
 
 // finishLoad completes a memory read: a direct hit inside the live heap —
 // the overwhelmingly common case — bypasses the full trap classification.
-// The guard is exactly Classify's AccessOK arm: at or above HeapBase (so
-// non-negative), at or above the trap area (HeapBase can, in principle, sit
-// inside a huge custom trap area), and within the allocated words.
+// The guard is exactly Classify's AccessOK arm: at or above heapLo, which is
+// HeapBase or the end of the trap area if that lies higher (HeapBase can, in
+// principle, sit inside a huge custom trap area), and within the allocated
+// words.
 func (m *Machine) finishLoad(fr *frame, in *ir.Instr, addr int64, d ir.VarID) status {
-	if addr >= rt.HeapBase && addr >= m.Arch.TrapAreaBytes &&
-		(addr-rt.HeapBase)/ir.WordBytes < int64(m.Heap.LiveWords()) {
-		fr.locals[d] = m.Heap.Load(addr)
-		return stNext
+	if addr >= m.heapLo {
+		if w, i := m.Heap.Live(), uint64(addr-rt.HeapBase)/ir.WordBytes; i < uint64(len(w)) {
+			fr.locals[d] = w[i]
+			return stNext
+		}
 	}
 	v, r, err := m.load(in, addr)
 	if err != nil {
@@ -362,10 +455,11 @@ func (m *Machine) finishLoad(fr *frame, in *ir.Instr, addr int64, d ir.VarID) st
 
 // finishStore completes a memory write; same fast path as finishLoad.
 func (m *Machine) finishStore(fr *frame, in *ir.Instr, addr, v int64) status {
-	if addr >= rt.HeapBase && addr >= m.Arch.TrapAreaBytes &&
-		(addr-rt.HeapBase)/ir.WordBytes < int64(m.Heap.LiveWords()) {
-		m.Heap.Store(addr, v)
-		return stNext
+	if addr >= m.heapLo {
+		if w, i := m.Heap.Live(), uint64(addr-rt.HeapBase)/ir.WordBytes; i < uint64(len(w)) {
+			w[i] = v
+			return stNext
+		}
 	}
 	r, err := m.storeWord(in, addr, v)
 	if err != nil {
@@ -464,9 +558,18 @@ func (m *Machine) compiled(fn *ir.Func) *cFunc {
 		}
 
 		if blockSegmentable(pins) {
-			segs := m.buildSegs(pins, bare, stepAt, len(cb.steps))
+			segs, tailAlone := m.buildSegs(pins, bare, stepAt, len(cb.steps))
 			if len(segs) == 1 && segs[0].charged != nil {
 				cb.one = segs[0]
+				// A terminator the stretch runs as its own closure (not
+				// fused into a cmp→if) moves into the block loop when its
+				// shape decodes. Nothing follows it, so it has no suffix.
+				if t, ok := decodeTerm(&pins[len(pins)-1]); ok && tailAlone {
+					k := len(cb.one.charged) - 1
+					cb.one.charged = cb.one.charged[:k]
+					cb.one.suffix = cb.one.suffix[:k]
+					cb.term = t
+				}
 			} else {
 				cb.segs = segs
 			}
@@ -505,9 +608,9 @@ const minChargeRun = 4
 // buildSegs splits a segmentable block into charged call-free stretches and
 // accounted ranges (calls plus any stretch shorter than minChargeRun).
 // Returns nil when nothing qualifies for charging, so the block skips the
-// segment walk entirely.
-func (m *Machine) buildSegs(pins []pInstr, bare []stepFn, stepAt []int, nSteps int) []cSeg {
-	var segs []cSeg
+// segment walk entirely. tailAlone reports that the block's last instruction
+// is a charged entry of its own rather than the second half of a fused pair.
+func (m *Machine) buildSegs(pins []pInstr, bare []stepFn, stepAt []int, nSteps int) (segs []cSeg, tailAlone bool) {
 	start := 0
 	hasCall := false
 	for i := range pins {
@@ -573,6 +676,7 @@ func (m *Machine) buildSegs(pins []pInstr, bare []stepFn, stepAt []int, nSteps i
 			}
 			sg.charged = append(sg.charged, bare[start+i])
 			sg.suffix = append(sg.suffix, sufAt[i])
+			tailAlone = start+i == len(pins)-1
 			i++
 		}
 		segs = append(segs, sg)
@@ -588,10 +692,54 @@ func (m *Machine) buildSegs(pins []pInstr, bare []stepFn, stepAt []int, nSteps i
 	flush(len(pins))
 	for i := range segs {
 		if segs[i].charged != nil {
-			return segs
+			return segs, tailAlone
 		}
 	}
-	return nil
+	return nil, false
+}
+
+// decodeTerm decodes a terminator of a hot shape for runCf to evaluate in
+// line: jump, return of a local, a constant or nothing, and integer if of a
+// local against a constant or another local. Float ifs, ifs with a constant
+// left operand and throws stay closures.
+func decodeTerm(pin *pInstr) (cTerm, bool) {
+	in := pin.in
+	switch in.Op {
+	case ir.OpJump:
+		return cTerm{kind: tJump, t0: in.Targets[0].ID}, true
+	case ir.OpReturn:
+		t := cTerm{kind: tRet, a: -1}
+		if len(pin.args) == 1 {
+			t.a, t.k = pin.args[0].varIdx, pin.args[0].i64
+		}
+		return t, true
+	case ir.OpIf:
+		a, b := pin.args[0], pin.args[1]
+		if a.isFloat || b.isFloat || a.varIdx < 0 {
+			return cTerm{}, false
+		}
+		conds := [...]ir.Cond{ir.CondEQ, ir.CondNE, ir.CondLT, ir.CondLE, ir.CondGT, ir.CondGE}
+		for i, c := range conds {
+			if c != in.Cond {
+				continue
+			}
+			t := cTerm{kind: tIfEQK + tKind(i), a: a.varIdx, b: b.varIdx, k: b.i64,
+				t0: in.Targets[0].ID, t1: in.Targets[1].ID}
+			if b.varIdx >= 0 {
+				t.kind += tIfEQV - tIfEQK
+			}
+			return t, true
+		}
+	}
+	return cTerm{}, false
+}
+
+// pick returns a when c holds and b otherwise.
+func pick(c bool, a, b int) int {
+	if c {
+		return a
+	}
+	return b
 }
 
 // Operand access helpers over the pre-decoded pOp shapes.

@@ -88,6 +88,10 @@ type Machine struct {
 	compiledFns *fnCache[*cFunc]
 	// frames is the closure engine's activation-record pool.
 	frames []*frame
+	// heapLo is the lowest address the closure engine's heap fast path
+	// accepts: max(rt.HeapBase, Arch.TrapAreaBytes). Like the closures'
+	// costs it is bound to the model; ResetPrepared recomputes it.
+	heapLo int64
 }
 
 // New returns a machine for the given model and program.
@@ -100,6 +104,7 @@ func New(m *arch.Model, prog *ir.Program) *Machine {
 		Engine:      DefaultEngine,
 		prepared:    newFnCache[*pFunc](maxPreparedFuncs),
 		compiledFns: newFnCache[*cFunc](maxPreparedFuncs),
+		heapLo:      max(rt.HeapBase, m.TrapAreaBytes),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"trapnull/internal/ir"
 	"trapnull/internal/obs"
+	"trapnull/internal/rt"
 )
 
 // This file implements the prepared-instruction tables of the exec loop.
@@ -78,6 +79,7 @@ func (m *Machine) ResetPrepared() {
 	if m.compiledFns != nil {
 		m.compiledFns.reset()
 	}
+	m.heapLo = max(rt.HeapBase, m.Arch.TrapAreaBytes)
 	// Tier state indexes compiled artifacts by *ir.Func identity too; a replay
 	// that swaps Func values must not dispatch through a stale speculative
 	// closure, so the controller rebuilds from the current program.

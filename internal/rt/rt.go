@@ -205,5 +205,8 @@ func (h *Heap) Store(addr, v int64) {
 	h.words[(addr-HeapBase)/ir.WordBytes] = v
 }
 
-// LiveWords returns the number of allocated words (for stats).
-func (h *Heap) LiveWords() int { return len(h.words) }
+// Live returns the allocated words: Live()[i] is the word at address
+// HeapBase + 8*i. An address at or above both HeapBase and the trap area is
+// AccessOK exactly when its index falls inside this slice. The slice is
+// valid until the next allocation or Reset.
+func (h *Heap) Live() []int64 { return h.words }

@@ -96,8 +96,8 @@ func TestResetClearsHeap(t *testing.T) {
 	h := NewHeap(0)
 	h.AllocArray(10)
 	h.Reset()
-	if h.LiveWords() != 0 {
-		t.Fatalf("LiveWords = %d after Reset", h.LiveWords())
+	if n := len(h.Live()); n != 0 {
+		t.Fatalf("%d live words after Reset", n)
 	}
 	if addr := h.AllocArray(1); addr != HeapBase {
 		t.Fatalf("allocation after Reset at %#x, want HeapBase", addr)

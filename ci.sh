@@ -45,13 +45,11 @@ go run ./cmd/nulljit -workload Assignment -config full -remarks -profile -trace 
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); evs=d['traceEvents']; assert evs and all(e.get('ph')=='X' for e in evs), 'bad trace events'" "$obs_trace"
 go test -run 'TestObsEquivalence|TestFateConservation' ./internal/bench
 TRAPNULL_ENGINE=switch go test -run TestObsEquivalence ./internal/bench
-# Compile-cache differential gate: the whole bench/jit surface again with the
-# content-addressed compile cache forced off, so the cached fast path (the
-# default) and the always-recompile path cannot drift apart — the cache
-# equivalence tests themselves compare the two directly.
-TRAPNULL_COMPILE_CACHE=off go test ./internal/bench ./internal/jit
+# Compile-cache gate: every sweep compiles through the content-addressed
+# cache, and the cache equivalence tests compare each cached cell with a
+# direct, cache-free compile and run of the same cell.
 go test -run 'TestCompileCache' ./internal/bench
-go test -run 'TestCache|TestHashProgram|TestProjectConfig|TestParallelCompile' ./internal/jit
+go test -run 'TestCache|TestHashProgram|TestProjectConfig' ./internal/jit
 # Tiered differential gate: the full ladder — promotion, speculation,
 # trap-triggered deoptimization — against the untiered engines, under the
 # race detector and again with the reference switch interpreter as the
@@ -93,6 +91,8 @@ cmp "$tdir/mx1.txt" "$tdir/mx2.txt"
 go run ./cmd/benchtab -tier -quick -trace "$tdir/tier-trace.json" -timeline "$tdir/tier-tl.txt" > /dev/null
 python3 -c "import json,sys; evs=json.load(open(sys.argv[1]))['traceEvents']; inst=[e for e in evs if e.get('ph')=='i']; assert inst, 'tier trace carries no instant (adaptive-decision) events'" "$tdir/tier-trace.json"
 grep -q 'promote-t1' "$tdir/tier-tl.txt"
+go run ./cmd/benchtab -degradation -quick -trace "$tdir/deg-trace.json" -timeline "$tdir/deg-tl.txt" > /dev/null
+python3 -c "import json,sys; evs=json.load(open(sys.argv[1]))['traceEvents']; inst=[e for e in evs if e.get('ph')=='i']; assert inst, 'degradation trace carries no instant (adaptive-decision) events'" "$tdir/deg-trace.json"
 TRAPNULL_ENGINE=switch go test -run 'TestTelemetry|TestTieredTelemetry|TestAttributionConservation|TestExecProfileTieredAgree' ./internal/bench
 # Benchdiff regression gate: the current tree's quick sweep must not regress
 # the checked-in baseline (cycles are deterministic, so the tolerance only

@@ -9,12 +9,11 @@
 //	benchtab -quick               # small problem sizes (fast smoke run)
 //	benchtab -reps 9              # compile-time measurement repetitions
 //	benchtab -parallel 8          # sweep cells on 8 workers (0 = GOMAXPROCS)
-//	benchtab -compile-cache=off   # disable the content-addressed compile cache
-//	benchtab -compile-parallel 4  # compile each cell's methods on 4 workers
 //	benchtab -engine switch       # run on the reference switch interpreter
 //	benchtab -tier                # tiered-execution tables (policies, not configs)
 //	benchtab -tier-reps 6         # invocations per tiered cell (last = steady state)
 //	benchtab -degradation         # trap-storm governor degradation tables
+//	benchtab -degradation-reps 5  # invocations per degradation cell (last = steady state)
 //	benchtab -chaos -chaos-seed 7 # deterministic seeded fault-injection sweep
 //	benchtab -cell-timeout 30s    # per-cell wall-clock deadline -> ERROR(timeout)
 //	benchtab -trace out.json      # Chrome trace of the sweep (Perfetto-viewable)
@@ -46,14 +45,12 @@ func main() {
 		quick      = flag.Bool("quick", false, "use small problem sizes")
 		reps       = flag.Int("reps", 5, "compile-time measurement repetitions (best of N; a compile-cache hit replays the stored best)")
 		parallel   = flag.Int("parallel", 0, "concurrent sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		ccache     = flag.String("compile-cache", "auto", "content-addressed compile cache: auto (TRAPNULL_COMPILE_CACHE), on, off")
-		cparallel  = flag.Int("compile-parallel", 0, "per-method compile workers inside each cell (<=1 = serial)")
 		engine     = flag.String("engine", "", "execution engine: closure (default) or switch; both report identical numbers")
 		ablations  = flag.Bool("ablations", false, "run the ablation experiments instead")
 		tier       = flag.Bool("tier", false, "run the tiered-execution sweep instead (steady-state cycles and compile-time-to-peak per policy)")
-		tierReps   = flag.Int("tier-reps", 0, "invocations per tiered cell (0 = default; the last is the steady-state measurement)")
+		tierReps   = flag.Int("tier-reps", 0, "invocations per tiered cell (values below 3 select the default 4; the last is the steady-state measurement)")
 		degrade    = flag.Bool("degradation", false, "run the trap-storm degradation sweep instead (implicit vs explicit vs governed per model)")
-		degReps    = flag.Int("degradation-reps", 0, "invocations per degradation cell (0 = default 3; the last is the steady-state measurement)")
+		degReps    = flag.Int("degradation-reps", 0, "invocations per degradation cell (values below 2 select the default 3; the last is the steady-state measurement)")
 		chaos      = flag.Bool("chaos", false, "run the seeded fault-injection sweep instead; fails only on non-injected errors")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed of the -chaos fault schedule (same seed = byte-identical report)")
 		cellTO     = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the main sweep (0 = none; expired cells render ERROR(timeout))")
@@ -129,49 +126,35 @@ func main() {
 		}
 	}
 
-	if *tier {
-		var tr *obs.Trace
-		if *traceOut != "" {
-			tr = obs.NewTrace()
-		}
-		trep, sweepErr := bench.RunTieredAll(bench.TierOptions{
-			Quick: *quick, Reps: *tierReps, CompileParallelism: *cparallel,
-			Timeline: timeline, Trace: tr, Metrics: metrics})
-		if tr != nil {
-			if err := tr.WriteFile(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchtab: wrote %d trace events to %s\n", len(tr.Events()), *traceOut)
-		}
-		if *asJSON {
-			data, err := trep.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(string(data))
-		} else {
-			fmt.Print(trep.Render())
-		}
-		emitTelemetry()
-		failOn(sweepErr)
-		return
+	var tr *obs.Trace
+	if *traceOut != "" {
+		tr = obs.NewTrace()
 	}
 
-	if *degrade {
-		drep, sweepErr := bench.RunDegradationAll(bench.DegradationOptions{
-			Quick: *quick, Reps: *degReps, CompileParallelism: *cparallel,
-			Timeline: timeline, Metrics: metrics})
+	if *tier || *degrade {
+		opts := bench.PolicyOptions{Quick: *quick, Timeline: timeline, Trace: tr, Metrics: metrics}
+		var rep interface {
+			JSON() ([]byte, error)
+			Render() string
+		}
+		var sweepErr error
+		if *tier {
+			opts.Reps = *tierReps
+			rep, sweepErr = bench.RunTieredAll(opts)
+		} else {
+			opts.Reps = *degReps
+			rep, sweepErr = bench.RunDegradationAll(opts)
+		}
+		writeTrace(tr, *traceOut)
 		if *asJSON {
-			data, err := drep.JSON()
+			data, err := rep.JSON()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 				os.Exit(1)
 			}
 			fmt.Println(string(data))
 		} else {
-			fmt.Print(drep.Render())
+			fmt.Print(rep.Render())
 		}
 		emitTelemetry()
 		failOn(sweepErr)
@@ -183,7 +166,7 @@ func main() {
 		// deterministic ERROR(...) cells inside the report. Only a fault the
 		// schedule did not arm fails the run.
 		crep, chaosErr := bench.RunChaos(*chaosSeed, bench.ChaosOptions{
-			Parallelism: *parallel, CellTimeout: *cellTO, CompileParallelism: *cparallel,
+			Parallelism: *parallel, CellTimeout: *cellTO,
 			Timeline: timeline, Metrics: metrics})
 		fmt.Print(crep.Render())
 		emitTelemetry()
@@ -208,37 +191,10 @@ func main() {
 	// A failing cell does not abort the sweep: RunAll always returns the
 	// full (possibly partial) report. Render it — failed cells appear as
 	// ERROR(<reason>) entries — then report the failures and exit non-zero.
-	var cacheSetting bench.CacheSetting
-	switch *ccache {
-	case "auto":
-		cacheSetting = bench.CacheAuto
-	case "on":
-		cacheSetting = bench.CacheOn
-	case "off":
-		cacheSetting = bench.CacheOff
-	default:
-		fmt.Fprintf(os.Stderr, "benchtab: -compile-cache must be auto, on or off (got %q)\n", *ccache)
-		os.Exit(2)
-	}
-
-	opts := bench.Options{Quick: *quick, CompileReps: *reps, Parallelism: *parallel,
-		CompileCache: cacheSetting, CompileParallelism: *cparallel,
+	rep, sweepErr := bench.RunAll(bench.Options{Quick: *quick, CompileReps: *reps, Parallelism: *parallel,
 		Remarks: *remarks, Profile: *profile, CellTimeout: *cellTO,
-		Timeline: timeline, Metrics: metrics}
-	var tr *obs.Trace
-	if *traceOut != "" {
-		tr = obs.NewTrace()
-		opts.Trace = tr
-	}
-	rep, sweepErr := bench.RunAll(opts)
-
-	if tr != nil {
-		if err := tr.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote %d trace events to %s\n", len(tr.Events()), *traceOut)
-	}
+		Trace: tr, Timeline: timeline, Metrics: metrics})
+	writeTrace(tr, *traceOut)
 
 	if *asJSON {
 		data, err := rep.JSON()
@@ -280,6 +236,18 @@ func main() {
 	}
 	emitTelemetry()
 	failOn(sweepErr)
+}
+
+// writeTrace writes the sweep's Chrome trace, if one was collected.
+func writeTrace(tr *obs.Trace, path string) {
+	if tr == nil {
+		return
+	}
+	if err := tr.WriteFile(path); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchtab: wrote %d trace events to %s\n", len(tr.Events()), path)
 }
 
 // writeOut writes a telemetry rendering to a file, or stdout for "-".

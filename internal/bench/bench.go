@@ -8,7 +8,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,8 +79,8 @@ type Matrix struct {
 	// Cells is indexed [config name][workload name].
 	Cells map[string]map[string]*Cell
 	// CompileCache holds the sweep-scoped compilation cache's traffic
-	// counters; nil when the cache was disabled for this sweep.
-	CompileCache *jit.CacheStats
+	// counters.
+	CompileCache jit.CacheStats
 }
 
 // Cell returns the measurement for (config, workload).
@@ -106,24 +105,10 @@ type Options struct {
 	// unchanged, so per-phase compile accounting (Tables 3–5) stays valid.
 	Parallelism int
 
-	// CompileCache controls the sweep-scoped content-addressed compilation
-	// cache (internal/jit cache.go). The zero value CacheAuto enables it
-	// unless the TRAPNULL_COMPILE_CACHE environment variable says otherwise.
-	// With the cache on, a miss still times CompileReps compiles and stores
-	// the fastest rep's Times, so Tables 3–5 keep their best-of-N timings; a
-	// hit replays the stored Times without compiling. Every timing-free
-	// artifact is byte-identical either way (the compiled IR is
-	// deterministic, cache or no cache).
-	CompileCache CacheSetting
-	// CompileParallelism is forwarded to jit.CompileOptions.Parallelism:
-	// methods of one program compile on that many workers (≤ 1 = serial).
-	// The artifact is byte-identical at any setting.
-	CompileParallelism int
-
 	// Trace, when non-nil, collects Chrome trace-event spans: one lane per
 	// cell, a cell span wrapping the measured compile and run, pass and
-	// function spans nested inside (benchtab -trace). Cache-enabled cells
-	// additionally get a compile_cache span recording hit or miss.
+	// function spans nested inside (benchtab -trace), and a compile_cache
+	// span recording hit or miss.
 	Trace *obs.Trace
 	// Remarks attaches a fate ledger to every cell's final compilation and
 	// fills Cell.Fates (benchtab -remarks; JSON check_fates).
@@ -155,34 +140,6 @@ type Options struct {
 	// compile-cache slot faults, all keyed on semantic coordinates so the
 	// same seed reproduces the same faults byte-for-byte at any parallelism.
 	Inject *faultinject.Injector
-}
-
-// CacheSetting is the tri-state compile-cache switch.
-type CacheSetting uint8
-
-const (
-	// CacheAuto defers to TRAPNULL_COMPILE_CACHE: "off"/"0"/"false" disables
-	// the cache, anything else (including unset) enables it.
-	CacheAuto CacheSetting = iota
-	// CacheOn forces the cache regardless of the environment.
-	CacheOn
-	// CacheOff disables it regardless of the environment.
-	CacheOff
-)
-
-// cacheEnabled resolves the tri-state against the environment.
-func (o Options) cacheEnabled() bool {
-	switch o.CompileCache {
-	case CacheOn:
-		return true
-	case CacheOff:
-		return false
-	}
-	switch strings.ToLower(os.Getenv("TRAPNULL_COMPILE_CACHE")) {
-	case "off", "0", "false":
-		return false
-	}
-	return true
 }
 
 // observed reports whether the final compile rep needs an observer.
@@ -239,13 +196,11 @@ func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts
 	// One content-addressed compile cache per sweep: concurrent cells that
 	// need the same (program, projection, model) compilation coalesce onto a
 	// single compile, and triage-style replays of the same sweep would hit.
-	var cache *jit.Cache
-	if opts.cacheEnabled() {
-		cache = jit.NewCache(0)
-		if opts.Inject != nil {
-			cf := opts.Inject.CacheFaults()
-			cache.SetFaultPolicy(&jit.CacheFaultPolicy{Evict: cf.Evict, Corrupt: cf.Corrupt})
-		}
+	// Chaos sweeps arm slot faults on it as part of the seeded schedule.
+	cache := jit.NewCache(0)
+	if opts.Inject != nil {
+		cf := opts.Inject.CacheFaults()
+		cache.SetFaultPolicy(&jit.CacheFaultPolicy{Evict: cf.Evict, Corrupt: cf.Corrupt})
 	}
 
 	jobs := make(chan job, total)
@@ -266,12 +221,9 @@ func Run(model *arch.Model, configs []jit.Config, ws []*workloads.Workload, opts
 	}
 	close(jobs)
 	wg.Wait()
-	if cache != nil {
-		st := cache.Stats()
-		m.CompileCache = &st
-		publishCacheMetrics(opts.Metrics, st)
-		noteCacheEvents(opts.Timeline, model.Name, cache)
-	}
+	m.CompileCache = cache.Stats()
+	publishCacheMetrics(opts.Metrics, m.CompileCache)
+	noteCacheEvents(opts.Timeline, model.Name, cache)
 
 	// Assemble in declaration order, collecting failures in the same order
 	// so the aggregate error is deterministic too.
@@ -333,10 +285,19 @@ func runCell(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Opti
 	}
 }
 
-// runOne measures one (config, workload) cell. It never fails the sweep: any
-// error — including a panic out of the workload builder, the compiler, or
-// the simulated machine — degrades to an error cell. abort, when non-nil, is
-// the cooperative cancellation flag runCell polls through the machine.
+// runOne measures one (config, workload) cell: build the program once,
+// address the compilation by content, and reuse the stored artifact on a
+// hit. A miss times CompileReps compiles — CompileReps-1 fresh build+compile
+// reps, then the observed compile of the stored program — and stores the
+// fastest rep's Times; a hit replays them. Per-cell statistics (Fates,
+// Static, compile times) are RE-DERIVED from the shared immutable entry
+// rather than accumulated into it, so two cells hitting one entry never
+// double-count.
+//
+// It never fails the sweep: any error — including a panic out of the
+// workload builder, the compiler, or the simulated machine — degrades to an
+// error cell. abort, when non-nil, is the cooperative cancellation flag
+// runCell polls through the machine.
 func runOne(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Options, cache *jit.Cache, abort *atomic.Bool) (cell *Cell) {
 	errCell := func(reason string) *Cell {
 		return &Cell{Workload: w.Name, Config: cfg.Name, Err: reason}
@@ -351,140 +312,7 @@ func runOne(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Optio
 	if opts.Quick {
 		n = w.TestN
 	}
-
 	cellName := cfg.Name + "/" + w.Name
-	if cache != nil {
-		return runOneCached(model, cfg, w, opts, cache, n, cellName, errCell, abort)
-	}
-
-	// Compile: repeat for timing stability, keeping the fastest rep (the
-	// one least disturbed by the host). The final rep's program is run, and
-	// only the final rep is observed — remarks and trace spans describe
-	// exactly the program the measurements come from. (With tracing on, the
-	// observed rep's compile timing includes the span bookkeeping; the
-	// overhead budget test in internal/obs bounds it.)
-	var best *jit.Result
-	var finalProg *machine.Machine
-	var rem *obs.Remarks
-	var prof *obs.ExecProfile
-	var attr *obs.Attribution
-	var tid int64
-	var cellStart time.Time
-	for rep := 0; rep < opts.CompileReps; rep++ {
-		p, entryM := w.Build()
-		final := rep == opts.CompileReps-1
-
-		// Injected pass faults key on the compilation's content identity, so
-		// every rep of the same cell draws the same fault.
-		var passFault func(method, pass string) string
-		if opts.Inject != nil {
-			passFault = opts.Inject.PassFault(jit.Key(p, cfg, model).ID())
-		}
-
-		var res *jit.Result
-		var err error
-		if final && opts.observed() {
-			ob := &jit.Observer{}
-			if opts.Trace != nil {
-				tid = opts.Trace.NextTID()
-				cellStart = time.Now()
-				ob.Trace = opts.Trace
-				ob.TID = tid
-			}
-			if opts.Remarks {
-				rem = obs.NewRemarks()
-				ob.Remarks = rem
-			}
-			res, err = jit.CompileProgramWith(p, cfg, model,
-				jit.CompileOptions{Observer: ob, Parallelism: opts.CompileParallelism, PassFault: passFault})
-		} else {
-			res, err = jit.CompileProgramWith(p, cfg, model,
-				jit.CompileOptions{Parallelism: opts.CompileParallelism, PassFault: passFault})
-		}
-		if err != nil {
-			return errCell(failReason(err))
-		}
-		if best == nil || res.Times.Total() < best.Times.Total() {
-			best = res
-		}
-		if final {
-			mach := machine.New(model, p)
-			mach.Abort = abort
-			if opts.Profile {
-				prof = obs.NewExecProfile()
-				mach.Profile = prof
-			}
-			rec := attachRecorder(opts.Timeline, mach, true)
-			if opts.Inject != nil {
-				if step, ok := opts.Inject.StepFault(model.Name + "/" + cellName); ok {
-					mach.InjectStepFault(step)
-					rec.Record(0, "chaos", "step-fault-arm", cellName, fmt.Sprintf("fires at step %d", step))
-				}
-			}
-			var execStart time.Time
-			if opts.Trace != nil {
-				execStart = time.Now()
-			}
-			out, err := mach.Call(entryM.Fn, n)
-			execDur := time.Since(execStart)
-			if opts.Trace != nil {
-				now := time.Now()
-				opts.Trace.Span(tid, "exec", "run "+cellName, execStart, now.Sub(execStart),
-					map[string]any{"cycles": mach.Cycles, "instrs": mach.Stats.Instrs})
-				opts.Trace.Span(tid, "cell", cellName, cellStart, now.Sub(cellStart), nil)
-			}
-			attr = mach.CycleAttribution()
-			// Publish before the error checks: a cell that errored (an
-			// injected fault, say) still lands its recorded strand in the
-			// timeline — that is what the chaos fire markers are for.
-			publishTimeline(opts.Timeline, opts.Trace, model.Name+"/"+cellName, rec,
-				attr, tid, execStart, execDur, mach.Steps())
-			if err != nil {
-				return errCell(failReason(err))
-			}
-			if out.Exc != rt.ExcNone {
-				return errCell(fmt.Sprintf("unexpected exception %v", out.Exc))
-			}
-			if want := w.Ref(n); out.Value != want {
-				return errCell(fmt.Sprintf("checksum mismatch: got %d, want %d", out.Value, want))
-			}
-			finalProg = mach
-		}
-	}
-
-	cell = &Cell{
-		Workload:     w.Name,
-		Config:       cfg.Name,
-		Cycles:       finalProg.Cycles,
-		SimSeconds:   float64(finalProg.Cycles) / float64(model.ClockHz),
-		CompileNull:  best.Times.NullCheckOpt,
-		CompileOther: best.Times.Other,
-		Exec:         finalProg.Stats,
-		Static:       *best,
-		Attr:         attr,
-	}
-	if rem != nil {
-		fc := rem.Totals()
-		cell.Fates = &fc
-		cell.remarks = rem
-	}
-	if prof != nil {
-		cell.Profile = prof.Summary(hotBlockTopN, rem,
-			finalProg.Stats.TrapsTaken, finalProg.Stats.ExplicitChecks, finalProg.Stats.ImplicitSites)
-	}
-	return cell
-}
-
-// runOneCached is runOne's compile path when the sweep carries a compile
-// cache: build the program once, address the compilation by content, and
-// reuse the stored artifact on a hit. A miss times CompileReps compiles as
-// runOne does — CompileReps-1 fresh build+compile reps, then the observed
-// compile of the stored program — and stores the fastest rep's Times; a hit
-// replays them. Per-cell statistics (Fates, Static, compile times) are
-// RE-DERIVED from the shared immutable entry rather than accumulated into
-// it, so two cells hitting one entry never double-count.
-func runOneCached(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts Options,
-	cache *jit.Cache, n int64, cellName string, errCell func(string) *Cell, abort *atomic.Bool) *Cell {
 	p, entryM := w.Build()
 
 	var tid int64
@@ -504,12 +332,11 @@ func runOneCached(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts
 	}
 	entry, hit, err := cache.GetOrCompile(key, opts.Remarks, func() (*jit.CacheEntry, error) {
 		// Timing-only reps: unobserved, so remarks and trace spans describe
-		// exactly the stored program, as in runOne.
+		// exactly the stored program.
 		var best jit.Times
 		for rep := 1; rep < opts.CompileReps; rep++ {
 			tp, _ := w.Build()
-			res, cerr := jit.CompileProgramWith(tp, cfg, model,
-				jit.CompileOptions{Parallelism: opts.CompileParallelism, PassFault: passFault})
+			res, cerr := jit.CompileProgramWith(tp, cfg, model, jit.CompileOptions{PassFault: passFault})
 			if cerr != nil {
 				return nil, cerr
 			}
@@ -530,8 +357,7 @@ func runOneCached(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts
 				ob.Remarks = rem
 			}
 		}
-		res, cerr := jit.CompileProgramWith(p, cfg, model,
-			jit.CompileOptions{Observer: ob, Parallelism: opts.CompileParallelism, PassFault: passFault})
+		res, cerr := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Observer: ob, PassFault: passFault})
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -597,7 +423,7 @@ func runOneCached(model *arch.Model, cfg jit.Config, w *workloads.Workload, opts
 		return errCell(fmt.Sprintf("checksum mismatch: got %d, want %d", out.Value, want))
 	}
 
-	cell := &Cell{
+	cell = &Cell{
 		Workload:     w.Name,
 		Config:       cfg.Name,
 		Cycles:       mach.Cycles,

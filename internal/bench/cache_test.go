@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,72 +9,66 @@ import (
 	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
+	"trapnull/internal/obs"
 	"trapnull/internal/workloads"
 )
 
-// TestCompileCacheDeterminism is the cache acceptance gate: a cache-on sweep
-// and a cache-off sweep must render byte-identical timing-free artifacts and
-// identical per-cell simulated measurements, static statistics, and fate
-// histograms. Only host compile timings may differ (each sweep keeps its
-// own fastest rep).
+// TestCompileCacheDeterminism is the cache acceptance gate: every cell of a
+// quick sweep, compiled through the sweep's cache, must measure exactly what
+// a direct cache-free compile and run of the same cell measures — cycles,
+// dynamic counters, static statistics and fate histograms. Only host
+// compile timings may differ.
 func TestCompileCacheDeterminism(t *testing.T) {
-	on, err := RunAll(Options{Quick: true, CompileReps: 2, Parallelism: 4,
-		CompileCache: CacheOn, Remarks: true})
+	rep, err := RunAll(Options{Quick: true, CompileReps: 2, Parallelism: 4, Remarks: true})
 	if err != nil {
-		t.Fatalf("cache-on sweep: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
-	off, err := RunAll(Options{Quick: true, CompileReps: 2, Parallelism: 4,
-		CompileCache: CacheOff, Remarks: true})
-	if err != nil {
-		t.Fatalf("cache-off sweep: %v", err)
-	}
-
-	onArts, offArts := on.Artifacts(), off.Artifacts()
-	for _, name := range timingFreeArtifacts {
-		if o, f := onArts[name](), offArts[name](); o != f {
-			t.Errorf("%s differs with the compile cache on:\n--- on ---\n%s\n--- off ---\n%s", name, o, f)
-		}
-	}
-
-	pairs := []struct {
-		name    string
-		on, off *Matrix
+	for _, mx := range []struct {
+		name string
+		m    *Matrix
 	}{
-		{"WinJB", on.WinJB, off.WinJB},
-		{"WinSpec", on.WinSpec, off.WinSpec},
-		{"AIXJB", on.AIXJB, off.AIXJB},
-		{"AIXSpec", on.AIXSpec, off.AIXSpec},
-	}
-	for _, pr := range pairs {
-		if pr.on.CompileCache == nil {
-			t.Errorf("%s: cache-on matrix has no cache stats", pr.name)
-		} else if want := int64(len(pr.on.Configs) * len(pr.on.Workloads)); pr.on.CompileCache.Misses != want {
-			// Every cell is a distinct (program, projection) pair, so every
-			// cell compiles exactly once — deterministic miss count.
-			t.Errorf("%s: %d misses, want %d (one per cell)", pr.name, pr.on.CompileCache.Misses, want)
+		{"WinJB", rep.WinJB},
+		{"WinSpec", rep.WinSpec},
+		{"AIXJB", rep.AIXJB},
+		{"AIXSpec", rep.AIXSpec},
+	} {
+		m := mx.m
+		// Every cell is a distinct (program, projection) pair, so every cell
+		// compiles exactly once — deterministic miss count.
+		if want := int64(len(m.Configs) * len(m.Workloads)); m.CompileCache.Misses != want {
+			t.Errorf("%s: %d misses, want %d (one per cell)", mx.name, m.CompileCache.Misses, want)
 		}
-		if pr.off.CompileCache != nil {
-			t.Errorf("%s: cache-off matrix carries cache stats", pr.name)
-		}
-		for _, cfg := range pr.on.Configs {
-			for _, w := range pr.on.Workloads {
-				oc, fc := pr.on.Cell(cfg.Name, w.Name), pr.off.Cell(cfg.Name, w.Name)
-				if oc == nil || fc == nil {
-					t.Fatalf("%s %s/%s: missing cell", pr.name, cfg.Name, w.Name)
+		for _, cfg := range m.Configs {
+			for _, w := range m.Workloads {
+				id := mx.name + " " + cfg.Name + "/" + w.Name
+				c := m.Cell(cfg.Name, w.Name)
+				if c == nil || c.Failed() {
+					t.Fatalf("%s: missing or failed cell: %+v", id, c)
 				}
-				if oc.Cycles != fc.Cycles || oc.Exec != fc.Exec {
-					t.Errorf("%s %s/%s: cached cell measured differently: cycles %d vs %d",
-						pr.name, cfg.Name, w.Name, oc.Cycles, fc.Cycles)
+
+				p, entryM := w.Build()
+				rem := obs.NewRemarks()
+				res, err := jit.CompileProgramWith(p, cfg, m.Model,
+					jit.CompileOptions{Observer: &jit.Observer{Remarks: rem}})
+				if err != nil {
+					t.Fatalf("%s: direct compile: %v", id, err)
 				}
-				os, fs := oc.Static, fc.Static
-				if os.Checks != fs.Checks || os.Inline != fs.Inline || os.Scalar != fs.Scalar ||
-					os.BoundChecksRemoved != fs.BoundChecksRemoved || os.FuncsCompiled != fs.FuncsCompiled {
-					t.Errorf("%s %s/%s: static stats differ with cache on:\n%+v\nvs\n%+v",
-						pr.name, cfg.Name, w.Name, os, fs)
+				mach := machine.New(m.Model, p)
+				if _, err := mach.Call(entryM.Fn, w.TestN); err != nil {
+					t.Fatalf("%s: direct run: %v", id, err)
 				}
-				if !reflect.DeepEqual(oc.Fates, fc.Fates) {
-					t.Errorf("%s %s/%s: fate histograms differ with cache on:\n%+v\nvs\n%+v",
-						pr.name, cfg.Name, w.Name, oc.Fates, fc.Fates)
+
+				if c.Cycles != mach.Cycles || c.Exec != mach.Stats {
+					t.Errorf("%s: cached cell measured differently: cycles %d vs direct %d",
+						id, c.Cycles, mach.Cycles)
+				}
+				cs := c.Static
+				if cs.Checks != res.Checks || cs.Inline != res.Inline || cs.Scalar != res.Scalar ||
+					cs.BoundChecksRemoved != res.BoundChecksRemoved || cs.FuncsCompiled != res.FuncsCompiled {
+					t.Errorf("%s: static stats differ from the direct compile:\n%+v\nvs\n%+v", id, cs, *res)
+				}
+				if fc := rem.Totals(); c.Fates == nil || *c.Fates != fc {
+					t.Errorf("%s: fate histogram differs from the direct compile:\n%+v\nvs\n%+v", id, c.Fates, fc)
 				}
 			}
 		}
@@ -96,16 +89,12 @@ func TestCompileCacheFateReattribution(t *testing.T) {
 	ws := workloads.JBYTEmark()[:3]
 
 	m, err := Run(model, []jit.Config{base, clone}, ws,
-		Options{Quick: true, CompileReps: 1, CompileCache: CacheOn, Remarks: true})
+		Options{Quick: true, CompileReps: 1, Remarks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := m.CompileCache
-	if st == nil {
-		t.Fatal("no cache stats")
-	}
-	if want := int64(len(ws)); st.Misses != want || st.Hits != want {
-		t.Fatalf("stats = %+v, want %d misses and %d hits (clone cells all hit)", *st, want, want)
+	if st, want := m.CompileCache, int64(len(ws)); st.Misses != want || st.Hits != want {
+		t.Fatalf("stats = %+v, want %d misses and %d hits (clone cells all hit)", st, want, want)
 	}
 	for _, w := range ws {
 		b, c := m.Cell(base.Name, w.Name), m.Cell(clone.Name, w.Name)
@@ -123,9 +112,8 @@ func TestCompileCacheFateReattribution(t *testing.T) {
 }
 
 // TestCompileCacheMissTimesAllReps pins the compile-time measurement under
-// the cache: a miss times CompileReps fresh build+compile reps, as the
-// uncached path does, and a hit compiles nothing and replays the stored
-// best-of-N times.
+// the cache: a miss times CompileReps fresh build+compile reps, and a hit
+// compiles nothing and replays the stored best-of-N times.
 func TestCompileCacheMissTimesAllReps(t *testing.T) {
 	const reps = 3
 	base := jit.ConfigPhase1Phase2()
@@ -139,12 +127,12 @@ func TestCompileCacheMissTimesAllReps(t *testing.T) {
 	}
 
 	m, err := Run(arch.IA32Win(), []jit.Config{base, clone}, []*workloads.Workload{&w},
-		Options{Quick: true, CompileReps: reps, Parallelism: 1, CompileCache: CacheOn})
+		Options{Quick: true, CompileReps: reps, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := m.CompileCache; st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("cache stats = %+v, want one miss and one hit", *st)
+		t.Fatalf("cache stats = %+v, want one miss and one hit", st)
 	}
 	// The miss builds once per rep; the hit builds once to key its lookup.
 	if builds != reps+1 {
@@ -158,7 +146,7 @@ func TestCompileCacheMissTimesAllReps(t *testing.T) {
 }
 
 // TestCompileCacheEntryImmutable deep-freezes a cache entry and verifies
-// that consuming it the way runOneCached does — executing the program,
+// that consuming it the way runOne does — executing the program,
 // re-deriving statistics — leaves every byte of it untouched.
 func TestCompileCacheEntryImmutable(t *testing.T) {
 	model := arch.IA32Win()
@@ -214,50 +202,20 @@ func TestCompileCacheEntryImmutable(t *testing.T) {
 	}
 }
 
-// TestCompileCacheJSONGating: the compile_cache JSON block appears exactly
-// when the cache ran, so cache-off JSON stays byte-compatible with the
-// pre-cache shape.
+// TestCompileCacheJSONGating: every sweep runs through the compile cache,
+// so the JSON report always carries its compile_cache block.
 func TestCompileCacheJSONGating(t *testing.T) {
-	on, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, CompileCache: CacheOn})
+	rep, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunAll(Options{Quick: true, CompileReps: 1, Parallelism: 4, CompileCache: CacheOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jOn, err := on.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jOff, err := off.JSON()
+	j, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"compile_cache"`, `"lookups"`, `"misses"`} {
-		if !strings.Contains(string(jOn), want) {
-			t.Errorf("cache-on JSON missing %s", want)
+		if !strings.Contains(string(j), want) {
+			t.Errorf("JSON missing %s", want)
 		}
-	}
-	if strings.Contains(string(jOff), `"compile_cache"`) {
-		t.Error("cache-off JSON contains compile_cache; the block must be omitted")
-	}
-}
-
-// TestCompileCacheEnvSwitch: TRAPNULL_COMPILE_CACHE governs CacheAuto.
-func TestCompileCacheEnvSwitch(t *testing.T) {
-	t.Setenv("TRAPNULL_COMPILE_CACHE", "off")
-	if (Options{}).cacheEnabled() {
-		t.Error("TRAPNULL_COMPILE_CACHE=off ignored by CacheAuto")
-	}
-	if !(Options{CompileCache: CacheOn}).cacheEnabled() {
-		t.Error("CacheOn must override the environment")
-	}
-	t.Setenv("TRAPNULL_COMPILE_CACHE", "1")
-	if !(Options{}).cacheEnabled() {
-		t.Error("TRAPNULL_COMPILE_CACHE=1 should leave the cache on")
-	}
-	if (Options{CompileCache: CacheOff}).cacheEnabled() {
-		t.Error("CacheOff must override the environment")
 	}
 }

@@ -17,11 +17,11 @@ import (
 // within 5% of all-explicit (the checks it converged to), with at least one
 // demotion recorded inside the recompile budget.
 func TestDegradationGovernorWins(t *testing.T) {
-	rep, err := RunDegradationAll(DegradationOptions{Quick: true})
+	rep, err := RunDegradationAll(PolicyOptions{Quick: true})
 	if err != nil {
 		t.Fatalf("degradation sweep failed: %v", err)
 	}
-	for _, m := range []*DegradationMatrix{rep.Win, rep.AIX} {
+	for _, m := range []*PolicyMatrix{rep.Win, rep.AIX} {
 		imp := m.Cell("implicit", "TrapStorm")
 		exp := m.Cell("explicit", "TrapStorm")
 		gov := m.Cell("governed", "TrapStorm")
@@ -36,12 +36,12 @@ func TestDegradationGovernorWins(t *testing.T) {
 			t.Errorf("%s: governed steady state %d is more than 5%% above all-explicit %d",
 				m.Model.Name, gov.SteadyCycles, exp.SteadyCycles)
 		}
-		if gov.Demotions < 1 {
+		if gov.Governor.Demotions < 1 {
 			t.Errorf("%s: governor demoted nothing on TrapStorm", m.Model.Name)
 		}
 		budget := machine.DefaultGovernorPolicy().RecompileBudget
-		if gov.Recompiles > budget {
-			t.Errorf("%s: %d recompiles exceed the budget %d", m.Model.Name, gov.Recompiles, budget)
+		if gov.Governor.Recompiles > budget {
+			t.Errorf("%s: %d recompiles exceed the budget %d", m.Model.Name, gov.Governor.Recompiles, budget)
 		}
 		// The stormy site is demoted, the clean site is not: steady state
 		// still executes explicit checks but strictly fewer than the
@@ -68,20 +68,7 @@ func TestGovernorConvergesUnderFlappingNull(t *testing.T) {
 	cache := jit.NewCache(0)
 	_, entryM := w.Build()
 	demoteCompile := func(demote map[string][]int) (*ir.Program, error) {
-		p, _ := w.Build()
-		d := jit.DemoteSet(demote)
-		key := jit.KeyDemote(p, cfg, model, nil, d)
-		entry, _, err := cache.GetOrCompile(key, false, func() (*jit.CacheEntry, error) {
-			res, cerr := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Demote: d})
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &jit.CacheEntry{Program: p, Result: res}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return entry.Program, nil
+		return CompileVariant(cache, w, cfg, model, nil, demote)
 	}
 
 	prog, err := demoteCompile(nil)

@@ -57,9 +57,7 @@ type jsonCacheStats struct {
 // jsonReport is the export shape of a full run.
 type jsonReport struct {
 	GeneratedBy string `json:"generated_by"`
-	// CompileCache lists per-matrix cache traffic in matrix order; omitted
-	// entirely when the cache is off, so cache-off JSON is byte-identical to
-	// the pre-cache shape.
+	// CompileCache lists per-matrix cache traffic in matrix order.
 	CompileCache []jsonCacheStats      `json:"compile_cache,omitempty"`
 	Matrices     map[string][]jsonCell `json:"matrices"`
 }
@@ -72,17 +70,15 @@ func (r *Report) JSON() ([]byte, error) {
 		Matrices:    map[string][]jsonCell{},
 	}
 	add := func(name string, m *Matrix) {
-		if m.CompileCache != nil {
-			st := *m.CompileCache
-			out.CompileCache = append(out.CompileCache, jsonCacheStats{
-				Matrix:         name,
-				Lookups:        st.Lookups,
-				Hits:           st.Hits,
-				Misses:         st.Misses,
-				Evictions:      st.Evictions,
-				InjectedFaults: st.InjectedFaults,
-			})
-		}
+		st := m.CompileCache
+		out.CompileCache = append(out.CompileCache, jsonCacheStats{
+			Matrix:         name,
+			Lookups:        st.Lookups,
+			Hits:           st.Hits,
+			Misses:         st.Misses,
+			Evictions:      st.Evictions,
+			InjectedFaults: st.InjectedFaults,
+		})
 		var cells []jsonCell
 		for _, cfg := range m.Configs {
 			for _, w := range m.Workloads {
@@ -129,6 +125,35 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
+// jsonPolicyReport is the export shape of a policy sweep (tiered or
+// degradation).
+type jsonPolicyReport[T any] struct {
+	GeneratedBy string         `json:"generated_by"`
+	Matrices    map[string][]T `json:"matrices"`
+}
+
+// policyJSON renders a policy report's matrices under their names. Cells
+// appear in workload-major, policy-minor order, so two marshals of the same
+// sweep are byte-identical up to the host compile timings.
+func policyJSON[T any](generatedBy string, names [2]string, ms [2]*PolicyMatrix, export func(*PolicyCell) T) ([]byte, error) {
+	out := jsonPolicyReport[T]{GeneratedBy: generatedBy, Matrices: map[string][]T{}}
+	for i, m := range ms {
+		if m == nil {
+			continue
+		}
+		var cells []T
+		for _, w := range m.Workloads {
+			for _, pol := range m.Policies {
+				if c := m.Cell(pol, w.Name); c != nil {
+					cells = append(cells, export(c))
+				}
+			}
+		}
+		out.Matrices[names[i]] = cells
+	}
+	return json.MarshalIndent(out, "", "  ")
+}
+
 // jsonTierCell is the export shape of one tiered measurement.
 type jsonTierCell struct {
 	Workload      string `json:"workload"`
@@ -150,58 +175,32 @@ type jsonTierCell struct {
 	Error           string              `json:"error,omitempty"`
 }
 
-// jsonTieredReport is the export shape of a tiered run.
-type jsonTieredReport struct {
-	GeneratedBy string                    `json:"generated_by"`
-	Matrices    map[string][]jsonTierCell `json:"matrices"`
-}
-
-// JSON renders the tiered report as machine-readable JSON. Cells appear in
-// workload-major, policy-minor order, so two marshals of the same sweep are
-// byte-identical up to the host compile timings.
+// JSON renders the tiered report as machine-readable JSON.
 func (r *TieredReport) JSON() ([]byte, error) {
-	out := jsonTieredReport{
-		GeneratedBy: "trapnull benchtab -tier",
-		Matrices:    map[string][]jsonTierCell{},
-	}
-	add := func(name string, m *TierMatrix) {
-		if m == nil {
-			return
-		}
-		var cells []jsonTierCell
-		for _, w := range m.Workloads {
-			for _, pol := range m.Policies {
-				c := m.Cell(pol, w.Name)
-				if c == nil {
-					continue
-				}
-				if c.Failed() {
-					cells = append(cells, jsonTierCell{Workload: c.Workload, Policy: c.Policy, Error: c.Err})
-					continue
-				}
-				cells = append(cells, jsonTierCell{
-					Workload:        c.Workload,
-					Policy:          c.Policy,
-					Reps:            c.Reps,
-					FirstCycles:     c.FirstCycles,
-					SteadyCycles:    c.SteadyCycles,
-					TotalCycles:     c.TotalCycles,
-					CompileToPeak:   int64(c.CompileToPeak / time.Microsecond),
-					PromotionsT1:    c.PromotionsT1,
-					PromotionsT2:    c.PromotionsT2,
-					Deopts:          c.Deopts,
-					SpecLive:        c.SpecLive,
-					OSREntries:      c.OSREntries,
-					BudgetExhausted: c.BudgetExhausted,
-					Events:          c.Events,
-				})
+	return policyJSON("trapnull benchtab -tier",
+		[2]string{"windows_tiered", "aix_tiered"}, [2]*PolicyMatrix{r.Win, r.AIX},
+		func(c *PolicyCell) jsonTierCell {
+			if c.Failed() {
+				return jsonTierCell{Workload: c.Workload, Policy: c.Policy, Error: c.Err}
 			}
-		}
-		out.Matrices[name] = cells
-	}
-	add("windows_tiered", r.Win)
-	add("aix_tiered", r.AIX)
-	return json.MarshalIndent(out, "", "  ")
+			t1, t2 := promotions(c.Tier)
+			return jsonTierCell{
+				Workload:        c.Workload,
+				Policy:          c.Policy,
+				Reps:            c.Reps,
+				FirstCycles:     c.FirstCycles,
+				SteadyCycles:    c.SteadyCycles,
+				TotalCycles:     c.TotalCycles,
+				CompileToPeak:   int64(c.CompileToPeak / time.Microsecond),
+				PromotionsT1:    t1,
+				PromotionsT2:    t2,
+				Deopts:          c.Tier.Deopts,
+				SpecLive:        c.Tier.SpecLive,
+				OSREntries:      c.Tier.OSREntries,
+				BudgetExhausted: c.Tier.BudgetExhausted,
+				Events:          c.Tier.Events,
+			}
+		})
 }
 
 // jsonDegradationCell is the export shape of one degradation measurement.
@@ -227,57 +226,31 @@ type jsonDegradationCell struct {
 	Error         string                  `json:"error,omitempty"`
 }
 
-// jsonDegradationReport is the export shape of a degradation run.
-type jsonDegradationReport struct {
-	GeneratedBy string                           `json:"generated_by"`
-	Matrices    map[string][]jsonDegradationCell `json:"matrices"`
-}
-
-// JSON renders the degradation report as machine-readable JSON. Cells appear
-// in workload-major, policy-minor order, so two marshals of the same sweep
-// are byte-identical (the measurements themselves are deterministic).
+// JSON renders the degradation report as machine-readable JSON.
 func (r *DegradationReport) JSON() ([]byte, error) {
-	out := jsonDegradationReport{
-		GeneratedBy: "trapnull benchtab -degradation",
-		Matrices:    map[string][]jsonDegradationCell{},
-	}
-	add := func(name string, m *DegradationMatrix) {
-		if m == nil {
-			return
-		}
-		var cells []jsonDegradationCell
-		for _, w := range m.Workloads {
-			for _, pol := range m.Policies {
-				c := m.Cell(pol, w.Name)
-				if c == nil {
-					continue
-				}
-				if c.Failed() {
-					cells = append(cells, jsonDegradationCell{Workload: c.Workload, Policy: c.Policy, Error: c.Err})
-					continue
-				}
-				cells = append(cells, jsonDegradationCell{
-					Workload:      c.Workload,
-					Policy:        c.Policy,
-					Reps:          c.Reps,
-					FirstCycles:   c.FirstCycles,
-					SteadyCycles:  c.SteadyCycles,
-					SteadyTraps:   c.SteadyTraps,
-					SteadyChecks:  c.SteadyChecks,
-					Demotions:     c.Demotions,
-					Recompiles:    c.Recompiles,
-					Pinned:        c.Pinned,
-					SiteExecs:     c.SiteExecs,
-					SiteNulls:     c.SiteNulls,
-					Backoffs:      c.Backoffs,
-					PinnedMethods: c.PinnedMethods,
-					Events:        c.Events,
-				})
+	return policyJSON("trapnull benchtab -degradation",
+		[2]string{"windows_degradation", "aix_degradation"}, [2]*PolicyMatrix{r.Win, r.AIX},
+		func(c *PolicyCell) jsonDegradationCell {
+			if c.Failed() {
+				return jsonDegradationCell{Workload: c.Workload, Policy: c.Policy, Error: c.Err}
 			}
-		}
-		out.Matrices[name] = cells
-	}
-	add("windows_degradation", r.Win)
-	add("aix_degradation", r.AIX)
-	return json.MarshalIndent(out, "", "  ")
+			g := c.Governor
+			return jsonDegradationCell{
+				Workload:      c.Workload,
+				Policy:        c.Policy,
+				Reps:          c.Reps,
+				FirstCycles:   c.FirstCycles,
+				SteadyCycles:  c.SteadyCycles,
+				SteadyTraps:   c.SteadyTraps,
+				SteadyChecks:  c.SteadyChecks,
+				Demotions:     g.Demotions,
+				Recompiles:    g.Recompiles,
+				Pinned:        len(g.Pinned),
+				SiteExecs:     g.SiteExecs,
+				SiteNulls:     g.SiteNulls,
+				Backoffs:      g.Backoffs,
+				PinnedMethods: g.Pinned,
+				Events:        g.Events,
+			}
+		})
 }

@@ -389,9 +389,8 @@ func (r *Report) Figure15() string {
 }
 
 // CompileCacheTable renders the per-matrix compile-cache traffic counters.
-// Not a paper artifact (and not timing-free in spirit — the counters depend
-// on whether the cache ran at all), it documents how much compilation the
-// sweep actually performed versus replayed.
+// Not a paper artifact, it documents how much compilation the sweep actually
+// performed versus replayed.
 func (r *Report) CompileCacheTable() string {
 	header := []string{"matrix", "lookups", "hits", "misses", "evictions"}
 	var rows [][]string
@@ -405,16 +404,12 @@ func (r *Report) CompileCacheTable() string {
 		{"aix_specjvm98", r.AIXSpec},
 	} {
 		st := mx.m.CompileCache
-		if st == nil {
-			rows = append(rows, []string{mx.name, "-", "-", "-", "-"})
-			continue
-		}
 		rows = append(rows, []string{mx.name,
 			fmt.Sprint(st.Lookups), fmt.Sprint(st.Hits),
 			fmt.Sprint(st.Misses), fmt.Sprint(st.Evictions)})
 	}
 	return renderGrid("Compile cache. Content-addressed compilation reuse per sweep", header, rows,
-		"misses = distinct (program, config projection, model) compilations; '-' = cache off")
+		"misses = distinct (program, config projection, model) compilations")
 }
 
 // Artifacts maps table/figure identifiers to their renderers.

@@ -219,21 +219,14 @@ func publishRepTimeline(tl *obs.Timeline, tr *obs.Trace, name string, rec *obs.R
 
 // publishTierMetrics folds one tiered cell's controller report into the
 // registry.
-func publishTierMetrics(reg *obs.Registry, r machine.TierReport) {
+func publishTierMetrics(reg *obs.Registry, c *PolicyCell) {
 	if reg == nil {
 		return
 	}
-	var t1, t2 int64
-	for _, ev := range r.Events {
-		switch ev.Kind {
-		case "promote-t1":
-			t1++
-		case "promote-t2":
-			t2++
-		}
-	}
-	reg.Counter("tier.promotions_t1", "").Add(t1)
-	reg.Counter("tier.promotions_t2", "").Add(t2)
+	r := c.Tier
+	t1, t2 := promotions(r)
+	reg.Counter("tier.promotions_t1", "").Add(int64(t1))
+	reg.Counter("tier.promotions_t2", "").Add(int64(t2))
 	reg.Counter("tier.osr_entries", "").Add(int64(r.OSREntries))
 	reg.Counter("tier.deopts", "").Add(int64(r.Deopts))
 	reg.Counter("tier.spec_live", "").Add(int64(r.SpecLive))
@@ -243,10 +236,11 @@ func publishTierMetrics(reg *obs.Registry, r machine.TierReport) {
 
 // publishGovernorMetrics folds one degradation cell's governor report into
 // the registry.
-func publishGovernorMetrics(reg *obs.Registry, r machine.GovernorReport) {
+func publishGovernorMetrics(reg *obs.Registry, c *PolicyCell) {
 	if reg == nil {
 		return
 	}
+	r := c.Governor
 	reg.Counter("governor.site_execs", "").Add(r.SiteExecs)
 	reg.Counter("governor.site_nulls", "").Add(r.SiteNulls)
 	reg.Counter("governor.demotions", "").Add(int64(r.Demotions))

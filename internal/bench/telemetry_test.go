@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"trapnull/internal/arch"
+	"trapnull/internal/ir"
 	"trapnull/internal/jit"
 	"trapnull/internal/machine"
 	"trapnull/internal/obs"
@@ -90,11 +91,11 @@ func TestTieredTelemetryDeterminism(t *testing.T) {
 		defer func() { machine.DefaultEngine = saved }()
 		machine.DefaultEngine = engine
 		ttl, treg := obs.NewTimeline(), obs.NewRegistry()
-		if _, err := RunTieredAll(TierOptions{Quick: true, Timeline: ttl, Metrics: treg}); err != nil {
+		if _, err := RunTieredAll(PolicyOptions{Quick: true, Timeline: ttl, Metrics: treg}); err != nil {
 			t.Fatalf("tier sweep: %v", err)
 		}
 		dtl, dreg := obs.NewTimeline(), obs.NewRegistry()
-		if _, err := RunDegradationAll(DegradationOptions{Quick: true, Timeline: dtl, Metrics: dreg}); err != nil {
+		if _, err := RunDegradationAll(PolicyOptions{Quick: true, Timeline: dtl, Metrics: dreg}); err != nil {
 			t.Fatalf("degradation sweep: %v", err)
 		}
 		return ttl.Render(), treg.RenderText(false), dtl.Render(), dreg.RenderText(false)
@@ -298,7 +299,10 @@ func TestExecProfileTieredAgree(t *testing.T) {
 
 		// Tiered machine with the profile attached BEFORE tiering, so the
 		// controller binds its check counters into the same profile.
-		compile := tierCompiler(w, cfg, model, jit.NewCache(0))
+		cache := jit.NewCache(0)
+		compile := func(mask map[string][]int) (*ir.Program, error) {
+			return CompileVariant(cache, w, cfg, model, mask, nil)
+		}
 		prog2, err := compile(nil)
 		if err != nil {
 			t.Fatalf("%s: conservative compile: %v", w.Name, err)
@@ -320,4 +324,34 @@ func TestExecProfileTieredAgree(t *testing.T) {
 			t.Errorf("%s: tiered machine entered %d blocks, untiered switch %d", w.Name, got, want)
 		}
 	}
+}
+
+// TestDegradationTraceCarriesDemotions: degradation cells get the same trace
+// lane as tier cells — per-invocation exec spans plus the recorder's
+// decisions as instant events — so a governed storm cell's lane shows where
+// the governor demoted.
+func TestDegradationTraceCarriesDemotions(t *testing.T) {
+	tr := obs.NewTrace()
+	if _, err := RunDegradationAll(PolicyOptions{Quick: true, Timeline: obs.NewTimeline(), Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	governed := map[int64]bool{}
+	execs := 0
+	for _, e := range tr.Events() {
+		switch {
+		case e.Ph == "X" && e.Cat == "cell" && strings.HasPrefix(e.Name, "governed/"):
+			governed[e.TID] = true
+		case e.Ph == "X" && e.Cat == "exec":
+			execs++
+		}
+	}
+	if execs == 0 {
+		t.Fatal("degradation trace carries no per-invocation exec spans")
+	}
+	for _, e := range tr.Events() {
+		if e.Ph == "i" && e.Cat == "governor" && strings.HasPrefix(e.Name, "demote ") && governed[e.TID] {
+			return
+		}
+	}
+	t.Fatal("degradation trace carries no governed demote instant")
 }

@@ -12,34 +12,14 @@ import (
 	"trapnull/internal/workloads"
 )
 
-// tierCompiler builds the SpecCompiler glue the tests share with the
-// harness: rebuild the pristine workload, key by (program, config, model,
-// speculation set), compile through the cache.
-func tierCompiler(w *workloads.Workload, cfg jit.Config, model *arch.Model, cache *jit.Cache) machine.SpecCompiler {
-	return func(mask map[string][]int) (*ir.Program, error) {
-		p, _ := w.Build()
-		spec := jit.SpecSet(mask)
-		key := jit.KeySpec(p, cfg, model, spec)
-		entry, _, err := cache.GetOrCompile(key, false, func() (*jit.CacheEntry, error) {
-			res, cerr := jit.CompileProgramWith(p, cfg, model, jit.CompileOptions{Spec: spec})
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &jit.CacheEntry{Program: p, Result: res}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return entry.Program, nil
-	}
-}
-
 // newTieredMachine compiles w conservatively and returns a tiered machine
 // plus the entry body of the compiled program.
 func newTieredMachine(t *testing.T, w *workloads.Workload, cfg jit.Config, model *arch.Model,
 	pol machine.TierPolicy, cache *jit.Cache) (*machine.Machine, *ir.Func) {
 	t.Helper()
-	compile := tierCompiler(w, cfg, model, cache)
+	compile := func(mask map[string][]int) (*ir.Program, error) {
+		return CompileVariant(cache, w, cfg, model, mask, nil)
+	}
 	prog, err := compile(nil)
 	if err != nil {
 		t.Fatalf("%s/%s: conservative compile: %v", cfg.Name, w.Name, err)
@@ -136,7 +116,7 @@ func TestTieredSteadyStateBeatsBestStatic(t *testing.T) {
 
 	strictWins := 0
 	for _, sw := range sweeps {
-		m, err := RunTiered(sw.model, sw.cfg, nullFree, TierOptions{Quick: true})
+		m, err := RunTiered(sw.model, sw.cfg, nullFree, PolicyOptions{Quick: true})
 		if err != nil {
 			t.Fatalf("%s: tiered sweep: %v", sw.name, err)
 		}
